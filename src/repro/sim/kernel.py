@@ -10,7 +10,7 @@ crash simulated compute nodes and application masters mid-flight.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -27,6 +27,8 @@ _PENDING = object()
 
 class Event:
     """A one-shot occurrence with callbacks, a value, and an ok/failed flag."""
+
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -59,11 +61,12 @@ class Event:
 
     def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self, priority)
+        env = self.env
+        heappush(env._heap, (env._now, priority, next(env._seq), self))
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -94,16 +97,25 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` simulated seconds after creation."""
+    """An event that fires ``delay`` simulated seconds after creation.
+
+    The hot path of every simulation: this pushes the heap entry itself
+    rather than going through ``Event.__init__`` and ``Environment._schedule``.
+    """
+
+    __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # ``not >=`` also rejects NaN, which would corrupt the heap order.
+        if not delay >= 0:
+            raise ValueError(f"timeout delay must be >= 0, got {delay}")
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule_at(self, env.now + delay, NORMAL)
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        heappush(env._heap, (env._now + delay, NORMAL, next(env._seq), self))
 
 
 class Interrupt(Exception):
@@ -116,6 +128,8 @@ class Interrupt(Exception):
 
 class _InterruptEvent(Event):
     """Internal event used to deliver an interrupt to a process."""
+
+    __slots__ = ("process",)
 
     def __init__(self, process: "Process", cause: Any):
         super().__init__(process.env)
@@ -134,6 +148,8 @@ class Process(Event):
     succeeds, the generator is resumed with the event's value; when it fails,
     the exception is thrown into the generator (which may catch it).
     """
+
+    __slots__ = ("_generator", "_target", "name")
 
     def __init__(self, env: "Environment", generator: Generator):
         super().__init__(env)
@@ -170,15 +186,15 @@ class Process(Event):
         # Stale wakeup: the process was interrupted while waiting on `event`
         # and has since moved on (or died). Ignore, but treat an unhandled
         # failure as handled because the interrupt superseded it.
-        if event is not self._target and not isinstance(event, _InterruptEvent):
+        if event is not self._target and type(event) is not _InterruptEvent:
             if not event._ok:
                 event._defused = True
             return
-        if self.triggered:
+        if self._value is not _PENDING:
             if not event._ok:
                 event._defused = True
             return
-        self.env._active = self
+        env = self.env
         try:
             if event._ok:
                 next_event = self._generator.send(event._value)
@@ -187,41 +203,41 @@ class Process(Event):
                 next_event = self._generator.throw(event._value)
         except StopIteration as stop:
             self._target = None
-            self.env._active = None
             self.succeed(stop.value, priority=URGENT)
             return
         except BaseException as exc:
             self._target = None
-            self.env._active = None
-            if self.env.tracer.enabled:
-                self.env.tracer.instant(
+            if env.tracer.enabled:
+                env.tracer.instant(
                     "process_fail", cat="process", proc=self.name,
                     exception=type(exc).__name__,
                 )
             self.fail(exc, priority=URGENT)
             return
-        self.env._active = None
-        if not isinstance(next_event, Event):
+        if type(next_event) is not Timeout and not isinstance(next_event, Event):
             raise SimulationError(
                 f"process yielded {next_event!r}, which is not an Event"
             )
-        self._target = next_event
-        if next_event.callbacks is None:
-            # Already processed: resume immediately via a proxy event.
-            proxy = Event(self.env)
-            proxy._ok = next_event._ok
-            proxy._value = next_event._value
-            if not next_event._ok:
-                next_event._defused = True
-            proxy.callbacks = [self._resume]
-            self._target = proxy
-            self.env._schedule(proxy, NORMAL)
-        else:
-            next_event.callbacks.append(self._resume)
+        callbacks = next_event.callbacks
+        if callbacks is not None:
+            self._target = next_event
+            callbacks.append(self._resume)
+            return
+        # Already processed: resume immediately via a proxy event.
+        proxy = Event(env)
+        proxy._ok = next_event._ok
+        proxy._value = next_event._value
+        if not next_event._ok:
+            next_event._defused = True
+        proxy.callbacks = [self._resume]
+        self._target = proxy
+        env._schedule(proxy, NORMAL)
 
 
 class _Condition(Event):
     """Base for :class:`AllOf` / :class:`AnyOf`."""
+
+    __slots__ = ("_events", "_done")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -249,6 +265,8 @@ class _Condition(Event):
 class AllOf(_Condition):
     """Fires when every constituent event has fired; value is the list of values."""
 
+    __slots__ = ()
+
     def _trigger_empty(self) -> None:
         self.succeed([])
 
@@ -268,6 +286,8 @@ class AllOf(_Condition):
 
 class AnyOf(_Condition):
     """Fires when the first constituent event fires; value is (event, value)."""
+
+    __slots__ = ()
 
     def _trigger_empty(self) -> None:
         self.succeed((None, None))
@@ -291,7 +311,6 @@ class Environment:
         self._now = float(initial_time)
         self._heap: List = []
         self._seq = count()
-        self._active: Optional[Process] = None
         #: Total events processed over the environment's lifetime. Used to
         #: calibrate deterministic step budgets (see :meth:`run`).
         self.step_count = 0
@@ -306,10 +325,7 @@ class Environment:
     # -- scheduling -------------------------------------------------------
 
     def _schedule(self, event: Event, priority: int = NORMAL) -> None:
-        self._schedule_at(event, self._now, priority)
-
-    def _schedule_at(self, event: Event, when: float, priority: int) -> None:
-        heapq.heappush(self._heap, (when, priority, next(self._seq), event))
+        heappush(self._heap, (self._now, priority, next(self._seq), event))
 
     # -- factories --------------------------------------------------------
 
@@ -332,7 +348,7 @@ class Environment:
 
     def step(self) -> None:
         """Process the next scheduled event."""
-        when, _prio, _seq, event = heapq.heappop(self._heap)
+        when, _prio, _seq, event = heappop(self._heap)
         if when < self._now - 1e-12:
             raise SimulationError(
                 f"time went backwards: {when} < {self._now}"
@@ -356,6 +372,9 @@ class Environment:
         exceeding it raises :class:`SimulationError`. Unlike a wall-clock
         watchdog it is deterministic, so fuzzing harnesses can use it to
         turn a livelocked schedule into a reproducible failure.
+
+        The loop body is :meth:`step` inlined: each event is popped,
+        counted and dispatched exactly as ``step`` would.
         """
         stop_at: Optional[float] = None
         stop_event: Optional[Event] = None
@@ -370,17 +389,30 @@ class Environment:
             if max_steps < 0:
                 raise ValueError(f"negative max_steps: {max_steps}")
             budget_limit = self.step_count + max_steps
-        while self._heap:
-            if stop_event is not None and stop_event.processed:
+        heap = self._heap
+        while heap:
+            if stop_event is not None and stop_event.callbacks is None:
                 break
-            if stop_at is not None and self._heap[0][0] > stop_at:
+            if stop_at is not None and heap[0][0] > stop_at:
                 self._now = stop_at
                 return None
             if budget_limit is not None and self.step_count >= budget_limit:
                 raise SimulationError(
                     f"step budget of {max_steps} events exhausted at t={self._now}"
                 )
-            self.step()
+            when, _prio, _seq, event = heappop(heap)
+            now = self._now
+            if when > now:
+                self._now = when
+            elif when < now - 1e-12:
+                raise SimulationError(f"time went backwards: {when} < {now}")
+            self.step_count += 1
+            callbacks, event.callbacks = event.callbacks, None
+            if callbacks:
+                for callback in callbacks:
+                    callback(event)
+            if not event._ok and not event._defused:
+                raise event._value
         if stop_event is not None:
             if not stop_event.triggered:
                 raise SimulationError(

@@ -41,11 +41,20 @@ class SplitMix:
         return self.next_u64() % n
 
     def permutation(self, n: int) -> List[int]:
-        """A Fisher-Yates shuffled permutation of range(n)."""
+        """A Fisher-Yates shuffled permutation of range(n).
+
+        ``next_u64`` and ``_mix`` are inlined (the sim draws one permutation
+        per work-bag probe cycle); the output stream is unchanged.
+        """
         items = list(range(n))
+        state = self._state
         for i in range(n - 1, 0, -1):
-            j = self.randrange(i + 1)
+            state = (state + 0x9E3779B97F4A7C15) & _MASK
+            z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+            j = (z ^ (z >> 31)) % (i + 1)
             items[i], items[j] = items[j], items[i]
+        self._state = state
         return items
 
 

@@ -16,8 +16,9 @@ All three track a busy-time integral so the runtime can compute utilization
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import Any, Deque, Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Environment, Event
@@ -36,6 +37,9 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
+        #: Enqueue time of each waiter, recorded only while tracing so the
+        #: grant can report how long it waited.
+        self._wait_from: Dict[Event, float] = {}
         self._busy_integral = 0.0
         self._last_update = env.now
 
@@ -63,8 +67,7 @@ class Resource:
             self._waiters.append(event)
             tracer = self.env.tracer
             if tracer.enabled:
-                # Stamp the enqueue time so the grant can report wait time.
-                event._trace_wait_from = self.env.now
+                self._wait_from[event] = self.env.now
                 tracer.counter(
                     f"resource.{self.name or 'anon'}",
                     queued=float(len(self._waiters)),
@@ -82,9 +85,7 @@ class Resource:
             waiter = self._waiters.popleft()
             tracer = self.env.tracer
             if tracer.enabled:
-                waited = self.env.now - getattr(
-                    waiter, "_trace_wait_from", self.env.now
-                )
+                waited = self.env.now - self._wait_from.pop(waiter, self.env.now)
                 label = self.name or "anon"
                 tracer.inc(f"resource.{label}.wait_seconds", waited)
                 tracer.inc(f"resource.{label}.grants_after_wait")
@@ -194,8 +195,10 @@ class BandwidthServer:
         if n == 0:
             return 0.0
         share = self.rate / n
-        if self.per_flow_cap is not None:
-            share = min(share, self.per_flow_cap)
+        cap = self.per_flow_cap
+        # Same result as min(share, cap), without the builtin call.
+        if cap is not None and cap < share:
+            share = cap
         return share
 
     def _settle(self) -> None:
@@ -212,19 +215,23 @@ class BandwidthServer:
             flow.remaining -= progress
 
     def _replan(self) -> None:
-        """Schedule a wakeup at the next flow completion."""
+        """Schedule a wakeup at the next flow completion.
+
+        The wake carries the generation it was planned in as its value;
+        any arrival or departure bumps the generation and so makes the
+        wake stale.
+        """
         self._generation += 1
         if not self._flows:
             return
         r = self._rate_per_flow()
-        shortest = min(flow.remaining for flow in self._flows)
+        shortest = min([flow.remaining for flow in self._flows])
         delay = max(0.0, shortest / r)
-        generation = self._generation
-        wake = self.env.timeout(delay)
-        wake.callbacks.append(lambda _ev, g=generation: self._on_wake(g))
+        wake = self.env.timeout(delay, self._generation)
+        wake.callbacks.append(self._on_wake)
 
-    def _on_wake(self, generation: int) -> None:
-        if generation != self._generation:
+    def _on_wake(self, wake: Event) -> None:
+        if wake._value != self._generation:
             return  # superseded by a later arrival/departure
         self._settle()
         finished = [f for f in self._flows if f.remaining <= _EPS]
@@ -273,6 +280,8 @@ class BandwidthServer:
 
     def transfer(self, amount: float) -> Event:
         """Start a flow of ``amount`` work units; the event fires at completion."""
+        if not math.isfinite(amount):
+            raise ValueError(f"transfer amount must be finite, got {amount}")
         event = self.env.event()
         if amount <= 0:
             event.succeed()

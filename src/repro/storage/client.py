@@ -70,7 +70,7 @@ class StorageClient:
         return self.cluster.machine(self.compute_node)
 
     def _alive(self, node: int) -> bool:
-        return self.cluster.machine(node).alive
+        return self.cluster.machines[node].alive
 
     def _io_unit(self, bag: SimBag) -> int:
         return bag.chunk_size * self.granularity

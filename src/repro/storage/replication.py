@@ -10,7 +10,7 @@ write ``r`` copies and (b) reads are served by the first live replica.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro.errors import ReplicationError
 
@@ -66,6 +66,10 @@ class ReplicaMap:
         #: homed near the ring tail would swap a backup that already holds
         #: its copies for the newcomer, which holds nothing.
         self._pinned: Dict[int, List[int]] = {}
+        #: Each home's replica set as resolved for the current ring. Reads
+        #: and work-bag probes look it up per chunk; only ring growth can
+        #: change it, so :meth:`add_node` clears it.
+        self._cache: Dict[int, Tuple[int, ...]] = {}
 
     def add_node(self, node: int) -> None:
         """Append a new storage node to the replica ring (Section 3.4).
@@ -81,6 +85,7 @@ class ReplicaMap:
             self._pinned.setdefault(home, self._ring_replicas(home))
         self._ring_pos[node] = len(self.nodes)
         self.nodes.append(node)
+        self._cache.clear()
 
     def _ring_replicas(self, home: int) -> List[int]:
         pos = self._ring_pos[home]
@@ -99,20 +104,28 @@ class ReplicaMap:
         """
         return self.nodes[stable_spread(key, len(self.nodes))]
 
+    def _replica_set(self, home: int) -> Tuple[int, ...]:
+        cached = self._cache.get(home)
+        if cached is None:
+            pinned = self._pinned.get(home)
+            cached = tuple(pinned if pinned is not None else self._ring_replicas(home))
+            self._cache[home] = cached
+        return cached
+
     def replicas(self, home: int) -> List[int]:
         """All nodes holding a copy of the shard homed at ``home``."""
-        pinned = self._pinned.get(home)
-        if pinned is not None:
-            return list(pinned)
-        return self._ring_replicas(home)
+        return list(self._replica_set(home))
 
     def has_live_replica(self, home: int, is_alive: Callable[[int], bool]) -> bool:
         """Whether any replica of ``home``'s shard can serve right now."""
-        return any(is_alive(node) for node in self.replicas(home))
+        for node in self._replica_set(home):
+            if is_alive(node):
+                return True
+        return False
 
     def serving_replica(self, home: int, is_alive: Callable[[int], bool]) -> int:
         """The node that serves reads for ``home``'s shard right now."""
-        for node in self.replicas(home):
+        for node in self._replica_set(home):
             if is_alive(node):
                 return node
         raise ReplicationError(

@@ -11,8 +11,8 @@ Items are small, so operations cost network round trips but no disk
 bandwidth in the simulation.
 
 Failure handling mirrors the chunk client (:mod:`repro.storage.client`):
-every shard access is routed through :meth:`ReplicaMap.serving_replica`,
-so a shard whose home node crashed is still served by a live backup when
+every shard access first asks :meth:`ReplicaMap.has_live_replica`, so a
+shard whose home node crashed is still served by a live backup when
 replication > 1. A shard with *no* live replica is unreachable — inserts
 back off and retry per the :class:`~repro.storage.policy.StorageConfig`
 policy rather than homing items on a dead node, and probes/scans skip the
@@ -57,17 +57,14 @@ class WorkBag:
         return self.cluster.machines[0].spec.network_rtt
 
     def _alive(self, node: int) -> bool:
-        return self.cluster.machine(node).alive
+        return self.cluster.machines[node].alive
 
-    def _serving(self, home: int) -> Optional[int]:
-        """The live replica serving ``home``'s shard, or None if all are down."""
-        try:
-            return self.replica_map.serving_replica(home, self._alive)
-        except ReplicationError:
-            return None
+    def _reachable(self, home: int) -> bool:
+        """Whether some live replica serves ``home``'s shard right now."""
+        return self.replica_map.has_live_replica(home, self._alive)
 
     def _reachable_homes(self) -> List[int]:
-        return [n for n in self.storage_nodes if self._serving(n) is not None]
+        return [n for n in self.storage_nodes if self._reachable(n)]
 
     def insert(self, item: Any) -> Generator:
         """Process: place ``item`` at a pseudorandom *reachable* storage node.
@@ -104,11 +101,12 @@ class WorkBag:
         there is nobody to answer the probe.
         """
         order = self._rng.permutation(len(self.storage_nodes))
+        rtt = self._rtt()
         for position in order:
             home = self.storage_nodes[position]
-            if self._serving(home) is None:
+            if not self._reachable(home):
                 continue
-            yield self.env.timeout(self._rtt())
+            yield self.env.timeout(rtt)
             shard = self._shards[home]
             for index, item in enumerate(shard):
                 if accept is None or accept(item):
@@ -124,7 +122,7 @@ class WorkBag:
         """
         matches: List[Any] = []
         for home in self.storage_nodes:
-            if self._serving(home) is None:
+            if not self._reachable(home):
                 continue
             yield self.env.timeout(self._rtt())
             matches.extend(item for item in self._shards[home] if predicate(item))
@@ -140,7 +138,7 @@ class WorkBag:
         """
         yield self.env.timeout(self._rtt())
         for home in self.storage_nodes:
-            if self._serving(home) is None:
+            if not self._reachable(home):
                 continue
             shard = self._shards[home]
             for index, item in enumerate(shard):
@@ -158,7 +156,7 @@ class WorkBag:
         """
         removed: List[Any] = []
         for home in self.storage_nodes:
-            if self._serving(home) is None:
+            if not self._reachable(home):
                 continue
             yield self.env.timeout(self._rtt())
             shard = self._shards[home]

@@ -81,6 +81,19 @@ def test_cyclic_permutations_cover_all_nodes(n, seed):
         assert sorted(cycle) == list(range(n))
 
 
+@given(st.integers(min_value=0, max_value=64), st.integers(min_value=0, max_value=2**64 - 1))
+def test_permutation_matches_randrange_fisher_yates(n, seed):
+    """The inlined shuffle draws the same stream as the loop over randrange."""
+    fast, reference = SplitMix(seed), SplitMix(seed)
+    items = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = reference.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+    assert fast.permutation(n) == items
+    # Both generators end in the same state.
+    assert fast.next_u64() == reference.next_u64()
+
+
 @given(
     st.integers(min_value=2, max_value=512),
     st.floats(min_value=0.0, max_value=1.0),

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Interrupt
+from repro.sim import AllOf, AnyOf, Environment, Interrupt, Resource
+from repro.trace import Tracer
 
 
 def test_timeout_advances_clock():
@@ -251,3 +252,207 @@ def test_yield_already_processed_event():
 
     proc = env.process(late(env))
     assert env.run(until=proc) == "early"
+
+
+# -- run-loop branches -----------------------------------------------------
+#
+# ``Environment.run`` is one loop with three stop conditions. These pin the
+# exact ``step_count`` and clock each branch leaves behind: chaos calibrates
+# deterministic ``max_steps`` budgets from ``step_count``, so an off-by-one
+# in the loop would silently shift every budget.
+
+
+def _three_tickers(env, log):
+    """Three processes ticking at periods 1, 2 and 3 until t=6."""
+
+    def ticker(period):
+        while env.now + period <= 6:
+            yield env.timeout(period)
+            log.append((env.now, period))
+        return period
+
+    return [env.process(ticker(p)) for p in (1, 2, 3)]
+
+
+def test_run_until_event_stops_at_exact_step():
+    env = Environment()
+    log = []
+    procs = _three_tickers(env, log)
+    assert env.run(until=procs[2]) == 3
+    assert env.now == 6.0
+    assert env.step_count == 13
+    assert log[-1] == (6.0, 3)
+    # The other tickers' last wakes are still queued; a plain run drains them.
+    env.run()
+    assert env.step_count == 17
+    assert all(not p.is_alive for p in procs)
+
+
+def test_run_until_time_stops_before_later_events():
+    env = Environment()
+    log = []
+    _three_tickers(env, log)
+    assert env.run(until=2.5) is None
+    assert env.now == 2.5
+    assert env.step_count == 6
+    assert log == [(1.0, 1), (2.0, 2), (2.0, 1)]
+    # An event exactly at the stop time is processed, not deferred.
+    env.run(until=3.0)
+    assert env.step_count == 8
+    assert log[-2:] == [(3.0, 3), (3.0, 1)]
+
+
+def test_max_steps_exhausted_at_exact_step_count():
+    env = Environment()
+    env.process(_ticker(env))
+    with pytest.raises(SimulationError, match="step budget of 7 events"):
+        env.run(max_steps=7)
+    assert env.step_count == 7
+    assert env.now == 6.0
+    # The budget is per call: the next call may process 3 more events.
+    with pytest.raises(SimulationError):
+        env.run(max_steps=3)
+    assert env.step_count == 10
+
+
+def test_max_steps_not_exhausted_when_heap_drains_first():
+    env = Environment()
+
+    def short(env):
+        yield env.timeout(1)
+        yield env.timeout(1)
+
+    env.process(short(env))
+    env.run(max_steps=4)  # init, two timeouts, process exit: exactly 4
+    assert env.step_count == 4
+    with pytest.raises(ValueError):
+        env.run(max_steps=-1)
+
+
+def test_unhandled_failed_event_raised_out_of_run():
+    env = Environment()
+    event = env.event()
+    event.fail(KeyError("nobody waits"))
+    with pytest.raises(KeyError, match="nobody waits"):
+        env.run()
+    assert env.step_count == 1
+
+
+def test_defused_failed_event_does_not_raise():
+    env = Environment()
+    event = env.event()
+    event.fail(KeyError("handled elsewhere"))
+    event.defuse()
+    env.run()
+    assert env.step_count == 1
+
+
+def test_run_until_failed_event_reraises_its_exception():
+    env = Environment()
+    event = env.event()
+
+    def failer(env):
+        yield env.timeout(2)
+        event.fail(OSError("lost"))
+
+    def waiter(env):
+        try:
+            yield event
+        except OSError:
+            pass
+
+    env.process(failer(env))
+    env.process(waiter(env))
+    with pytest.raises(OSError, match="lost"):
+        env.run(until=event)
+    assert env.now == 2.0
+
+
+def test_run_until_event_that_never_fires():
+    env = Environment()
+    with pytest.raises(SimulationError, match="ran out of events"):
+        env.run(until=env.event())
+
+
+def test_stale_wake_after_interrupt_is_ignored():
+    env = Environment()
+    resumed = []
+
+    def sleeper(env):
+        try:
+            yield env.timeout(10)
+        except Interrupt:
+            resumed.append(("interrupted", env.now))
+        yield env.timeout(20)
+        resumed.append(("woke", env.now))
+
+    proc = env.process(sleeper(env))
+
+    def killer(env):
+        yield env.timeout(1)
+        proc.interrupt()
+
+    env.process(killer(env))
+    env.run()
+    # The superseded timeout still fires at t=10 but does not resume the
+    # process a second time.
+    assert resumed == [("interrupted", 1.0), ("woke", 21.0)]
+    assert env.step_count == 8
+
+
+def test_stale_failed_event_after_interrupt_is_defused():
+    env = Environment()
+    doomed = env.event()
+
+    def waiter(env):
+        try:
+            yield doomed
+        except Interrupt:
+            pass
+        yield env.timeout(5)
+        return env.now
+
+    proc = env.process(waiter(env))
+
+    def chaos(env):
+        yield env.timeout(1)
+        proc.interrupt()
+        yield env.timeout(1)
+        doomed.fail(RuntimeError("after the interrupt"))
+
+    env.process(chaos(env))
+    assert env.run(until=proc) == 6.0
+    env.run()  # the stale failure must not surface here either
+
+
+def test_contended_resource_with_live_tracer():
+    env = Environment()
+    env.tracer = Tracer(clock=lambda: env.now)
+    res = Resource(env, capacity=1, name="slot")
+    grants = []
+
+    def user(env, name, arrive, hold):
+        yield env.timeout(arrive)
+        yield res.request()
+        grants.append((name, env.now))
+        yield env.timeout(hold)
+        res.release()
+
+    env.process(user(env, "a", 0, 4))
+    env.process(user(env, "b", 1, 2))
+    env.process(user(env, "c", 2, 1))
+    env.run()
+    assert grants == [("a", 0.0), ("b", 4.0), ("c", 6.0)]
+    metrics = env.tracer.metrics_snapshot()
+    assert metrics["resource.slot.wait_seconds"] == 3.0 + 4.0
+    assert metrics["resource.slot.grants_after_wait"] == 2.0
+    samples = env.tracer.events(name="resource.slot")
+    assert [s["args"]["queued"] for s in samples] == [1.0, 2.0, 1.0, 0.0]
+    assert env.step_count == 15
+
+
+def test_nan_timeout_rejected():
+    env = Environment()
+    with pytest.raises(ValueError):
+        env.timeout(float("nan"))
+    assert env.peek() == float("inf")  # nothing reached the heap

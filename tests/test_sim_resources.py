@@ -68,6 +68,30 @@ class TestBandwidthServer:
         event = bw.transfer(0)
         assert event.triggered
 
+    @pytest.mark.parametrize("amount", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_transfer_rejected(self, amount):
+        env = Environment()
+        bw = BandwidthServer(env, rate=10.0)
+        bw.transfer(5.0)
+        with pytest.raises(ValueError, match="finite"):
+            bw.transfer(amount)
+        # The rejected flow never joined: the live one finishes on time.
+        assert bw.active_flows == 1
+        env.run()
+        assert env.now == 0.5
+
+    def test_stale_wake_after_arrival_is_ignored(self):
+        """An arrival re-plans; the superseded wake still pops but is a no-op."""
+        env = Environment()
+        bw = BandwidthServer(env, rate=1.0)
+        times = _finish_times(env, bw, [2.0, 2.0], starts=[0.0, 1.0])
+        assert times == [3.0, 4.0]
+        # The first flow's wake planned for t=2 went stale at the arrival
+        # at t=1. It still pops and counts as a step (11, not 10), which
+        # chaos's step budgets rely on.
+        assert env.step_count == 11
+        assert bw.delivered_work() == pytest.approx(4.0)
+
     def test_demand_and_utilization(self):
         env = Environment()
         cpu = BandwidthServer(env, rate=4.0, per_flow_cap=1.0)

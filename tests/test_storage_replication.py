@@ -85,3 +85,29 @@ def test_has_live_replica():
     rmap = ReplicaMap([0, 1, 2], replication=2)
     assert rmap.has_live_replica(1, lambda n: n == 2)
     assert not rmap.has_live_replica(0, lambda n: n == 2)
+
+
+def test_replicas_returns_a_fresh_list():
+    """Replica sets are cached per home; callers still get their own list."""
+    rmap = ReplicaMap([0, 1, 2], replication=2)
+    first = rmap.replicas(1)
+    first.append(99)
+    assert rmap.replicas(1) == [1, 2]
+    assert rmap.replicas(1) is not rmap.replicas(1)
+
+
+def test_cached_lookups_agree_with_pinning_across_growth():
+    """Interleaved lookups and growth resolve exactly as a map that never
+    looked anything up before growing."""
+    looked_up = ReplicaMap([0, 1, 2], replication=3)
+    untouched = ReplicaMap([0, 1, 2], replication=3)
+    for node in (3, 4, 5):
+        for home in looked_up.nodes:
+            looked_up.serving_replica(home, lambda n: True)
+        looked_up.add_node(node)
+        untouched.add_node(node)
+    for home in range(6):
+        assert looked_up.replicas(home) == untouched.replicas(home)
+        assert looked_up.serving_replica(home, lambda n: n != home) == (
+            untouched.replicas(home)[1]
+        )
